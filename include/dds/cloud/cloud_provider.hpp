@@ -115,22 +115,25 @@ class CloudProvider {
     return instances_[id.value()];
   }
 
-  /// Mutable instance access. Callers use this to edit the per-core
-  /// allocation ledger (allocateCore / releaseCoreOf), so every grant is
-  /// treated as a potential ledger change and bumps ledgerGeneration() —
-  /// pessimistic, but exact: the generation never stays put across a
-  /// mutation.
-  [[nodiscard]] VmInstance& instance(VmId id) {
-    DDS_REQUIRE(id.value() < instances_.size(), "unknown VM id");
-    ++ledger_generation_;
-    return instances_[id.value()];
-  }
+  /// The only writers of the per-core allocation ledger. Each bumps
+  /// ledgerGeneration() exactly when a core changes hands.
+  ///
+  /// Claim one free core of `vm` for `pe`; returns the core index.
+  /// Throws PreconditionError when the VM is full or stopped.
+  int allocateCore(VmId vm, PeId pe);
 
-  /// Monotonic counter that advances whenever the core-allocation ledger
-  /// *may* have changed: VM acquisition, release, or any mutable
-  /// instance() access. Simulator hot paths snapshot per-PE core indexes
-  /// and rebuild them only when this moves (paper §5's allocation state
-  /// changes at adaptation granularity, so rebuilds are rare).
+  /// Release one core of `vm` owned by `pe`; returns the freed index.
+  /// Throws PreconditionError when `pe` owns no core there.
+  int releaseCoreOf(VmId vm, PeId pe);
+
+  /// Release every core of `vm` owned by `pe`; returns how many.
+  int releaseAllCoresOf(VmId vm, PeId pe);
+
+  /// Monotonic counter that advances exactly when the core-allocation
+  /// ledger changes: a VM is acquired or stopped, or a core changes
+  /// hands. Simulator hot paths snapshot per-PE core indexes and rebuild
+  /// them only when this moves (paper §5's allocation state changes at
+  /// adaptation granularity, so rebuilds are rare).
   [[nodiscard]] std::uint64_t ledgerGeneration() const {
     return ledger_generation_;
   }

@@ -81,6 +81,11 @@ class VmInstance {
     return n;
   }
 
+ private:
+  // Ledger and lifecycle edits go through CloudProvider, which keeps
+  // ledgerGeneration() in step with them.
+  friend class CloudProvider;
+
   /// Claim one free core for `pe`; returns the core index.
   /// Throws PreconditionError when the VM is full or inactive.
   int allocateCore(PeId pe) {
@@ -116,9 +121,6 @@ class VmInstance {
     }
     return n;
   }
-
- private:
-  friend class CloudProvider;
 
   void shutdown(SimTime t, TerminationReason reason) {
     DDS_REQUIRE(isActive(), "VM already stopped");

@@ -3,8 +3,9 @@
 // A JsonValue is a small recursive variant: null, bool, double, string,
 // array, object. Objects preserve key order (they are pair vectors, not
 // maps) so parse -> re-serialize round-trips stay deterministic, and the
-// parser is strict: trailing characters, malformed escapes or numbers
-// throw IoError with the byte offset of the offence.
+// parser is strict: trailing characters, malformed escapes or numbers,
+// and nesting past kJsonMaxDepth throw IoError with the byte offset of
+// the offence.
 //
 // This powers the JSONL trace reader (obs/trace_reader) and the campaign
 // job-spec API (exp/job_spec). It is deliberately not a DOM library —
@@ -55,8 +56,10 @@ struct JsonValue {
 [[nodiscard]] const JsonValue* jsonFind(const JsonObject& obj,
                                         const std::string& key);
 
-/// Parse one complete JSON document; throws IoError on any syntax error
-/// or trailing input.
+/// Parse one complete JSON document; throws IoError on any syntax error,
+/// trailing input, or containers nested deeper than kJsonMaxDepth
+/// (json.hpp) — the parser recurses per level, so the cap is what keeps
+/// hostile input from exhausting the stack.
 [[nodiscard]] JsonValue parseJson(const std::string& text);
 
 }  // namespace dds

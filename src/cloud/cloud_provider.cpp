@@ -64,14 +64,37 @@ void CloudProvider::release(VmId id, SimTime t) {
 }
 
 void CloudProvider::terminate(VmId id, SimTime t, TerminationReason reason) {
-  VmInstance& vm = instance(id);
+  DDS_REQUIRE(id.value() < instances_.size(), "unknown VM id");
+  VmInstance& vm = instances_[id.value()];
   vm.shutdown(t, reason);
+  ++ledger_generation_;
   if (tracer_.enabled()) {
     tracer_.emit(obs::VmReleaseEvent{.t = t,
                                      .vm = id.value(),
                                      .vm_class = vm.spec().name,
                                      .billed_cost = instanceCost(id, t)});
   }
+}
+
+int CloudProvider::allocateCore(VmId vm, PeId pe) {
+  DDS_REQUIRE(vm.value() < instances_.size(), "unknown VM id");
+  const int core = instances_[vm.value()].allocateCore(pe);
+  ++ledger_generation_;
+  return core;
+}
+
+int CloudProvider::releaseCoreOf(VmId vm, PeId pe) {
+  DDS_REQUIRE(vm.value() < instances_.size(), "unknown VM id");
+  const int core = instances_[vm.value()].releaseCoreOf(pe);
+  ++ledger_generation_;
+  return core;
+}
+
+int CloudProvider::releaseAllCoresOf(VmId vm, PeId pe) {
+  DDS_REQUIRE(vm.value() < instances_.size(), "unknown VM id");
+  const int freed = instances_[vm.value()].releaseAllCoresOf(pe);
+  if (freed > 0) ++ledger_generation_;
+  return freed;
 }
 
 SimTime CloudProvider::preemptionTimeOf(VmId id) const {

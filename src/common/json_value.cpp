@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "dds/common/error.hpp"
+#include "dds/common/json.hpp"
 
 namespace dds {
 namespace {
@@ -74,12 +75,21 @@ class Parser {
     pos_ += lit.size();
   }
 
+  // Containers recurse, so their nesting is what bounds stack use.
+  void enterContainer() {
+    if (++depth_ > kJsonMaxDepth) {
+      fail("nesting deeper than " + std::to_string(kJsonMaxDepth));
+    }
+  }
+
   JsonValue parseObject() {
+    enterContainer();
     expect('{');
     auto obj = std::make_shared<JsonObject>();
     skipWs();
     if (peek() == '}') {
       ++pos_;
+      --depth_;
       return JsonValue{std::move(obj)};
     }
     while (true) {
@@ -94,16 +104,19 @@ class Parser {
         continue;
       }
       expect('}');
+      --depth_;
       return JsonValue{std::move(obj)};
     }
   }
 
   JsonValue parseArray() {
+    enterContainer();
     expect('[');
     auto arr = std::make_shared<JsonArray>();
     skipWs();
     if (peek() == ']') {
       ++pos_;
+      --depth_;
       return JsonValue{std::move(arr)};
     }
     while (true) {
@@ -114,6 +127,7 @@ class Parser {
         continue;
       }
       expect(']');
+      --depth_;
       return JsonValue{std::move(arr)};
     }
   }
@@ -191,6 +205,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

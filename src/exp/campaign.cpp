@@ -42,6 +42,9 @@ JobOutcome runExperimentJob(const ExperimentJob& job, std::size_t index,
     } else {
       obs::JsonlTraceSink sink(job.trace_path);
       out.result = engine.run(job.kind, &sink);
+      if (!sink.flush()) {
+        throw IoError("failed writing trace file: " + job.trace_path);
+      }
     }
     out.ok = true;
   } catch (const std::exception& e) {

@@ -29,7 +29,7 @@ std::vector<FailureEvent> FailureInjector::injectUpTo(CloudProvider& cloud,
   if (!config_.enabled()) return events;
 
   for (const VmId id : cloud.activeVms()) {
-    VmInstance& vm = cloud.instance(id);
+    const VmInstance& vm = cloud.instance(id);
     const SimTime death = deathTime(id, vm.startTime());
     if (death > now) continue;
 
@@ -58,7 +58,7 @@ std::vector<FailureEvent> FailureInjector::injectUpTo(CloudProvider& cloud,
     // Crash: cores vanish, billing stops at the failure time. The started
     // hour is still paid — a tenant-side fault, not provider-initiated.
     for (const auto& loss : ev.losses) {
-      vm.releaseAllCoresOf(loss.pe);
+      cloud.releaseAllCoresOf(id, loss.pe);
     }
     cloud.terminate(id, std::max(death, vm.startTime()),
                     TerminationReason::Crashed);

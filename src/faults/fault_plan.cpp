@@ -142,7 +142,7 @@ std::vector<FailureEvent> FaultPlan::injectPreemptionsUpTo(
   if (!config_.preemptionsEnabled()) return events;
 
   for (const VmId id : cloud.activeVms()) {
-    VmInstance& vm = cloud.instance(id);
+    const VmInstance& vm = cloud.instance(id);
     if (!vm.spec().preemptible) continue;
     const SimTime at = preemptionTime(id, vm.startTime());
     if (at > now) continue;
@@ -171,7 +171,7 @@ std::vector<FailureEvent> FaultPlan::injectPreemptionsUpTo(
           {*owner, static_cast<double>(on_vm) / static_cast<double>(total)});
     }
     for (const auto& loss : ev.losses) {
-      vm.releaseAllCoresOf(loss.pe);
+      cloud.releaseAllCoresOf(id, loss.pe);
     }
     cloud.preempt(id, std::max(at, vm.startTime()));
     events.push_back(std::move(ev));

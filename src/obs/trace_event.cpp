@@ -54,12 +54,6 @@ std::string_view wireName(const SchedulerDecisionEvent&) {
 std::string_view wireName(const ForecastEvent&) { return "forecast"; }
 std::string_view wireName(const PreAcquireEvent&) { return "preacquire"; }
 
-JsonWriter makeLineWriter() {
-  return JsonWriter{{.style = JsonWriter::Style::Compact,
-                     .non_finite =
-                         JsonWriter::NonFinitePolicy::StringSentinel}};
-}
-
 void writeBody(JsonWriter& w, const RunHeaderEvent& e) {
   w.key("scheduler").value(e.scheduler);
   w.key("seed").value(e.seed);
@@ -238,13 +232,20 @@ SimTime traceEventTime(const TraceEvent& e) {
       e);
 }
 
-std::string traceEventJson(const TraceEvent& event) {
-  JsonWriter w = makeLineWriter();
+void appendTraceEventJson(std::string& out, const TraceEvent& event) {
+  JsonWriter w(out,
+               {.style = JsonWriter::Style::Compact,
+                .non_finite = JsonWriter::NonFinitePolicy::StringSentinel});
   w.beginObject();
-  w.key("ev").value(std::string(traceEventName(event)));
+  w.key("ev").value(traceEventName(event));
   std::visit([&w](const auto& ev) { writeBody(w, ev); }, event);
   w.endObject();
-  return w.str();
+}
+
+std::string traceEventJson(const TraceEvent& event) {
+  std::string line;
+  appendTraceEventJson(line, event);
+  return line;
 }
 
 }  // namespace dds::obs

@@ -240,9 +240,8 @@ void materialize(CloudProvider& cloud, const std::vector<int>& vm_counts,
     for (std::size_t c = 0; c < n_classes; ++c) {
       int remaining = assignment[pe][c];
       for (const VmId vm_id : vms_by_class[c]) {
-        VmInstance& vm = cloud.instance(vm_id);
-        while (remaining > 0 && vm.freeCoreCount() > 0) {
-          vm.allocateCore(PeId(static_cast<PeId::value_type>(pe)));
+        while (remaining > 0 && cloud.instance(vm_id).freeCoreCount() > 0) {
+          cloud.allocateCore(vm_id, PeId(static_cast<PeId::value_type>(pe)));
           --remaining;
         }
         if (remaining == 0) break;

@@ -42,10 +42,40 @@ TEST(CloudProvider, ActiveVmsExcludesReleased) {
 TEST(CloudProvider, ReleaseWithAllocatedCoresThrows) {
   auto cloud = makeCloud();
   const VmId id = cloud.acquire(ResourceClassId(0), 0.0);
-  cloud.instance(id).allocateCore(PeId(1));
+  cloud.allocateCore(id, PeId(1));
   EXPECT_THROW(cloud.release(id, 10.0), PreconditionError);
-  cloud.instance(id).releaseAllCoresOf(PeId(1));
+  cloud.releaseAllCoresOf(id, PeId(1));
   EXPECT_NO_THROW(cloud.release(id, 10.0));
+}
+
+TEST(CloudProvider, LedgerGenerationMovesExactlyWhenTheLedgerChanges) {
+  auto cloud = makeCloud();
+  const CloudProvider& view = cloud;
+  std::uint64_t gen = cloud.ledgerGeneration();
+  const auto moved = [&] {
+    const bool changed = cloud.ledgerGeneration() != gen;
+    gen = cloud.ledgerGeneration();
+    return changed;
+  };
+  const VmId id = cloud.acquire(ResourceClassId(3), 0.0);
+  EXPECT_TRUE(moved());
+  (void)cloud.instance(id).freeCoreCount();  // reads never bump
+  (void)view.instance(id).coresOwnedBy(PeId(1));
+  EXPECT_FALSE(moved());
+  cloud.allocateCore(id, PeId(1));
+  EXPECT_TRUE(moved());
+  EXPECT_EQ(cloud.releaseAllCoresOf(id, PeId(2)), 0);  // owns nothing here
+  EXPECT_FALSE(moved());
+  cloud.allocateCore(id, PeId(2));
+  EXPECT_TRUE(moved());
+  cloud.releaseCoreOf(id, PeId(2));
+  EXPECT_TRUE(moved());
+  EXPECT_THROW(cloud.releaseCoreOf(id, PeId(2)), PreconditionError);
+  EXPECT_FALSE(moved());
+  EXPECT_EQ(cloud.releaseAllCoresOf(id, PeId(1)), 1);
+  EXPECT_TRUE(moved());
+  cloud.release(id, 10.0);
+  EXPECT_TRUE(moved());
 }
 
 TEST(CloudProvider, DoubleReleaseThrows) {
@@ -262,7 +292,7 @@ TEST(SpotBilling, CrashStillBillsTheStartedHour) {
 TEST(SpotBilling, PreemptionKillsTheVmUnderItsTenants) {
   auto cloud = makeSpotCloud();
   const VmId id = cloud.acquire(cloud.catalog().byName("m1.large-spot"), 0.0);
-  cloud.instance(id).allocateCore(PeId(3));
+  cloud.allocateCore(id, PeId(3));
   // Provider-initiated reclamation does not wait for core releases.
   EXPECT_NO_THROW(cloud.preempt(id, 100.0));
   EXPECT_FALSE(cloud.instance(id).isActive());

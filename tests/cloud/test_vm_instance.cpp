@@ -2,13 +2,29 @@
 
 #include <gtest/gtest.h>
 
+#include "dds/cloud/cloud_provider.hpp"
+
 namespace dds {
 namespace {
 
-VmInstance makeVm(int cores = 4) {
-  return VmInstance(VmId(0), ResourceClassId(3),
-                    ResourceClass{"test", cores, 2.0, 100.0, 0.48}, 0.0);
+ResourceClass testClass(int cores) {
+  return ResourceClass{"test", cores, 2.0, 100.0, 0.48};
 }
+
+VmInstance makeVm(int cores = 4) {
+  return VmInstance(VmId(0), ResourceClassId(3), testClass(cores), 0.0);
+}
+
+/// The core ledger is edited only through the provider that owns it.
+struct OneVm {
+  explicit OneVm(int cores = 4)
+      : cloud(ResourceCatalog({testClass(cores)})),
+        id(cloud.acquire(ResourceClassId(0), 0.0)) {}
+  [[nodiscard]] const VmInstance& vm() const { return cloud.instance(id); }
+
+  CloudProvider cloud;
+  VmId id;
+};
 
 TEST(VmInstance, StartsActiveWithAllCoresFree) {
   const auto vm = makeVm();
@@ -19,8 +35,9 @@ TEST(VmInstance, StartsActiveWithAllCoresFree) {
 }
 
 TEST(VmInstance, AllocateAssignsOwnership) {
-  auto vm = makeVm();
-  const int idx = vm.allocateCore(PeId(7));
+  OneVm f;
+  const int idx = f.cloud.allocateCore(f.id, PeId(7));
+  const VmInstance& vm = f.vm();
   EXPECT_GE(idx, 0);
   EXPECT_EQ(vm.freeCoreCount(), 3);
   ASSERT_TRUE(vm.coreOwner(idx).has_value());
@@ -30,37 +47,37 @@ TEST(VmInstance, AllocateAssignsOwnership) {
 }
 
 TEST(VmInstance, AllocateUntilFullThenThrows) {
-  auto vm = makeVm(2);
-  vm.allocateCore(PeId(1));
-  vm.allocateCore(PeId(2));
-  EXPECT_EQ(vm.freeCoreCount(), 0);
-  EXPECT_THROW(vm.allocateCore(PeId(3)), PreconditionError);
+  OneVm f(2);
+  f.cloud.allocateCore(f.id, PeId(1));
+  f.cloud.allocateCore(f.id, PeId(2));
+  EXPECT_EQ(f.vm().freeCoreCount(), 0);
+  EXPECT_THROW(f.cloud.allocateCore(f.id, PeId(3)), PreconditionError);
 }
 
 TEST(VmInstance, ReleaseCoreOfFreesOne) {
-  auto vm = makeVm();
-  vm.allocateCore(PeId(1));
-  vm.allocateCore(PeId(1));
-  const int freed = vm.releaseCoreOf(PeId(1));
+  OneVm f;
+  f.cloud.allocateCore(f.id, PeId(1));
+  f.cloud.allocateCore(f.id, PeId(1));
+  const int freed = f.cloud.releaseCoreOf(f.id, PeId(1));
   EXPECT_GE(freed, 0);
-  EXPECT_EQ(vm.coresOwnedBy(PeId(1)), 1);
-  EXPECT_EQ(vm.freeCoreCount(), 3);
+  EXPECT_EQ(f.vm().coresOwnedBy(PeId(1)), 1);
+  EXPECT_EQ(f.vm().freeCoreCount(), 3);
 }
 
 TEST(VmInstance, ReleaseCoreOfUnknownPeThrows) {
-  auto vm = makeVm();
-  EXPECT_THROW(vm.releaseCoreOf(PeId(9)), PreconditionError);
+  OneVm f;
+  EXPECT_THROW(f.cloud.releaseCoreOf(f.id, PeId(9)), PreconditionError);
 }
 
 TEST(VmInstance, ReleaseAllCoresOf) {
-  auto vm = makeVm();
-  vm.allocateCore(PeId(1));
-  vm.allocateCore(PeId(2));
-  vm.allocateCore(PeId(1));
-  EXPECT_EQ(vm.releaseAllCoresOf(PeId(1)), 2);
-  EXPECT_EQ(vm.coresOwnedBy(PeId(1)), 0);
-  EXPECT_EQ(vm.coresOwnedBy(PeId(2)), 1);
-  EXPECT_EQ(vm.releaseAllCoresOf(PeId(1)), 0);  // idempotent
+  OneVm f;
+  f.cloud.allocateCore(f.id, PeId(1));
+  f.cloud.allocateCore(f.id, PeId(2));
+  f.cloud.allocateCore(f.id, PeId(1));
+  EXPECT_EQ(f.cloud.releaseAllCoresOf(f.id, PeId(1)), 2);
+  EXPECT_EQ(f.vm().coresOwnedBy(PeId(1)), 0);
+  EXPECT_EQ(f.vm().coresOwnedBy(PeId(2)), 1);
+  EXPECT_EQ(f.cloud.releaseAllCoresOf(f.id, PeId(1)), 0);  // idempotent
 }
 
 TEST(VmInstance, CoreOwnerOutOfRangeThrows) {

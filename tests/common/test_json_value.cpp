@@ -65,6 +65,36 @@ TEST(JsonValueTest, RejectsMalformedInput) {
   EXPECT_THROW((void)parseJson("\"bad \\q escape\""), IoError);
 }
 
+TEST(JsonValueTest, NestingIsCappedAtTheDepthLimit) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_NO_THROW((void)parseJson(nested(kJsonMaxDepth)));
+  EXPECT_THROW((void)parseJson(nested(kJsonMaxDepth + 1)), IoError);
+  EXPECT_THROW((void)parseJson("{\"a\":" + nested(kJsonMaxDepth) + "}"),
+               IoError);
+  // Siblings do not add up: depth is nesting, not container count.
+  std::string wide = "[";
+  for (std::size_t i = 0; i < 2 * kJsonMaxDepth; ++i) wide += "[[]],";
+  wide += "[]]";
+  EXPECT_NO_THROW((void)parseJson(wide));
+}
+
+TEST(JsonValueTest, HostileNestingIsRejectedWithoutRecursingIntoIt) {
+  // Deep enough to overflow an 8 MiB stack if the parser recursed all
+  // the way down; each must come back as a clean parse error.
+  for (const std::size_t depth : {50'000u, 200'000u}) {
+    try {
+      (void)parseJson(std::string(depth, '['));
+      FAIL() << "expected IoError at depth " << depth;
+    } catch (const IoError& e) {
+      EXPECT_NE(std::string(e.what()).find("nesting deeper than 256"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(JsonValueTest, ErrorsCarryByteOffset) {
   try {
     (void)parseJson("[1, ?]");

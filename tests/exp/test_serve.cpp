@@ -94,6 +94,23 @@ TEST(Serve, RejectedLinesGetErrorRecordsAtTheirIndex) {
   EXPECT_NE(lines[2].find("\"ok\":true"), std::string::npos);
 }
 
+TEST(Serve, HostileNestingGetsOneRejectionRecord) {
+  const std::string input =
+      std::string(200'000, '[') + "\n" + specLine(1, "global") + "\n";
+  ServeOptions options;
+  options.jobs = 1;
+  ServeStats stats;
+  const std::string out = serveAll(input, options, &stats);
+  EXPECT_EQ(stats.specs, 2u);
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.ok, 1u);
+  std::istringstream in(out);
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_NE(line.find("\"rejected\":true"), std::string::npos);
+  EXPECT_NE(line.find("nesting deeper than 256"), std::string::npos) << line;
+}
+
 TEST(Serve, JobFailuresAreInBandRecords) {
   // An intractable job fails while running (not a rejection): the
   // stream carries ok:false with the error, and later records follow.

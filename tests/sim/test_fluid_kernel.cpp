@@ -200,7 +200,7 @@ struct Fixture {
   void giveSmallCores(PeId pe, int n) {
     for (int i = 0; i < n; ++i) {
       const VmId vm = cloud.acquire(ResourceClassId(0), 0.0);
-      cloud.instance(vm).allocateCore(pe);
+      cloud.allocateCore(vm, pe);
     }
   }
 };
@@ -215,11 +215,85 @@ TEST(FluidKernelRebuilds, CachedRebuildsOnlyOnLedgerChange) {
   (void)sim.step(1, 5.0, dep);
   (void)sim.step(2, 5.0, dep);
   EXPECT_EQ(sim.kernelRebuilds(), 1u);
-  // Any ledger mutation bumps the generation and forces one rebuild.
+  // A core changing hands bumps the generation and forces one rebuild.
   f.giveSmallCores(PeId(1), 1);
   (void)sim.step(3, 5.0, dep);
   (void)sim.step(4, 5.0, dep);
   EXPECT_EQ(sim.kernelRebuilds(), 2u);
+}
+
+TEST(FluidKernelRebuilds, EqualDistinctLedgerStatesSeen) {
+  // A seeded mix of core moves, no-op releases and plain reads between
+  // steps: only real moves change the ledger generation, and the kernel
+  // rebuilds once per distinct generation it steps on.
+  Fixture f(makePipeline());
+  f.giveSmallCores(PeId(0), 1);
+  f.giveSmallCores(PeId(1), 1);
+  const VmId spare = f.cloud.acquire(ResourceClassId(2), 0.0);
+  Deployment dep(f.df);
+  DataflowSimulator sim(f.df, f.cloud, f.mon, {});
+  Rng rng(13);
+  std::uint64_t states = 0;
+  std::uint64_t last = 0;
+  for (IntervalIndex i = 0; i < 300; ++i) {
+    const PeId pe(static_cast<PeId::value_type>(rng.uniformInt(0, 1)));
+    switch (rng.uniformInt(0, 3)) {
+      case 0:
+        if (f.cloud.instance(spare).freeCoreCount() > 0) {
+          f.cloud.allocateCore(spare, pe);
+        }
+        break;
+      case 1:
+        (void)f.cloud.releaseAllCoresOf(spare, pe);  // often a no-op
+        break;
+      case 2:
+        (void)f.cloud.instance(spare).coresOwnedBy(pe);
+        break;
+      default:
+        break;
+    }
+    if (states == 0 || f.cloud.ledgerGeneration() != last) {
+      ++states;
+      last = f.cloud.ledgerGeneration();
+    }
+    (void)sim.step(i, 5.0, dep);
+  }
+  EXPECT_EQ(sim.kernelRebuilds(), states);
+  EXPECT_LT(states, 150u);
+}
+
+double kernelRebuildsOf(SchedulerKind kind) {
+  ExperimentConfig cfg;
+  cfg.horizon_s = 6.0 * kSecondsPerHour;
+  cfg.workload.mean_rate = 10.0;
+  cfg.workload.profile = ProfileKind::PeriodicWave;
+  cfg.workload.infra_variability = true;
+  cfg.seed = 77;
+  const ExperimentResult r =
+      SimulationEngine(makePaperDataflow(), cfg).run(kind);
+  for (const obs::MetricSample& m : r.metrics) {
+    if (m.name == "fluid.kernel_rebuilds") return m.value;
+  }
+  ADD_FAILURE() << "no fluid.kernel_rebuilds metric";
+  return -1.0;
+}
+
+TEST(FluidKernelRebuilds, StaticSchedulersBuildOnce) {
+  EXPECT_EQ(kernelRebuildsOf(SchedulerKind::GlobalStatic), 1.0);
+  EXPECT_EQ(kernelRebuildsOf(SchedulerKind::AnnealingStatic), 1.0);
+}
+
+TEST(FluidKernelRebuilds, AdaptiveRunsSkipUnchangedIntervals) {
+  // Scheduler reads (power queries, empty-VM scans) leave the ledger
+  // generation alone, so intervals without a core move reuse the kernel.
+  constexpr double kIntervals = 6.0 * 60.0;
+  for (const SchedulerKind kind :
+       {SchedulerKind::GlobalAdaptive, SchedulerKind::LocalAdaptive,
+        SchedulerKind::ReactiveBaseline}) {
+    const double rebuilds = kernelRebuildsOf(kind);
+    EXPECT_GE(rebuilds, 1.0);
+    EXPECT_LT(rebuilds, kIntervals) << toString(kind);
+  }
 }
 
 TEST(FluidKernelRebuilds, ReferenceSnapshotsEveryInterval) {
