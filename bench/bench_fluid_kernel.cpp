@@ -97,8 +97,8 @@ RunOutput runKernel(const SweepCase& c, SimConfig::Engine engine) {
   out.costs.reserve(kIntervals);
   const auto begin = std::chrono::steady_clock::now();
   for (IntervalIndex i = 0; i < kIntervals; ++i) {
-    const IntervalMetrics m =
-        sim.step(i, profile->rate(i * kIntervalS), dep);
+    const IntervalMetrics m = sim.step(
+        i, profile->rate(static_cast<double>(i) * kIntervalS), dep);
     out.omegas.push_back(m.omega);
     out.costs.push_back(m.cost_cumulative);
   }

@@ -56,7 +56,7 @@ inline std::vector<JobOutcome> runGrid(
   Campaign campaign;
   for (const auto& cfg : rows) {
     for (const auto kind : kinds) {
-      campaign.add({&df, cfg, kind, schedulerName(kind), ""});
+      campaign.add({&df, cfg, kind, schedulerName(kind), "", ""});
     }
   }
   CampaignResult res = runCampaign(campaign);

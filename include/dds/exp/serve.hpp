@@ -16,10 +16,19 @@
 // campaignJsonl) at any worker count — the same oracle contract the
 // campaign runner upholds.
 //
-// Backpressure: at most `queue` jobs are in flight; when the window is
-// full the reader blocks on the OLDEST job and emits its record before
-// admitting the next spec. Output therefore streams while input is
-// still arriving, and memory stays O(queue), not O(stream length).
+// Emission: a record is written as soon as its line and every earlier
+// line are done. Whichever thread finishes the line at the window's front
+// (the pool worker that ran its job, or the reader when the line is a
+// rejection) writes every finished record from the front onward, under
+// one mutex that also guards the window. Jobs start in line order: each
+// pool task runs the oldest job not yet started, so the front job never
+// waits behind newer ones.
+//
+// Backpressure: at most `queue` lines are in the window (running, queued
+// or finished but not yet written); when it is full the reader blocks
+// until the front record is written. Output therefore streams while
+// input is still arriving, and memory stays O(queue), not O(stream
+// length).
 #pragma once
 
 #include <cstddef>

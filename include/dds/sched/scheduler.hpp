@@ -81,6 +81,13 @@ struct SchedulerEnv {
                 "omega target out of range");
     DDS_REQUIRE(epsilon >= 0.0 && epsilon < 1.0, "epsilon out of range");
   }
+
+  /// validate(), then this env: lets a constructor check the env before
+  /// any member initializer dereferences its pointers.
+  [[nodiscard]] const SchedulerEnv& validated() const {
+    validate();
+    return *this;
+  }
 };
 
 /// What the monitoring framework reported for the last interval.

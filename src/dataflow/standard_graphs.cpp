@@ -1,9 +1,27 @@
 #include "dds/dataflow/standard_graphs.hpp"
 
+#include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace dds {
+namespace {
+
+/// Alternate names like "s3a1": each tag letter followed by its number.
+/// Built by appending; g++ 12 reports a false -Wrestrict on
+/// `"literal" + std::string`.
+std::string alternateName(
+    std::initializer_list<std::pair<char, std::size_t>> parts) {
+  std::string name;
+  for (const auto& [tag, n] : parts) {
+    name += tag;
+    name += std::to_string(n);
+  }
+  return name;
+}
+
+}  // namespace
 
 Dataflow makePaperDataflow() {
   DataflowBuilder b("sc13-fig1");
@@ -38,7 +56,7 @@ Dataflow makeChainDataflow(std::size_t length, std::size_t alternates_per_pe) {
     std::vector<Alternate> alts;
     for (std::size_t j = 0; j < alternates_per_pe; ++j) {
       const auto dj = static_cast<double>(j);
-      alts.push_back({"s" + std::to_string(i) + "a" + std::to_string(j),
+      alts.push_back({alternateName({{'s', i}, {'a', j}}),
                       /*value=*/1.0 / (1.0 + 0.3 * dj),
                       /*cost_core_sec=*/0.2 / (1.0 + dj),
                       /*selectivity=*/1.0});
@@ -118,8 +136,7 @@ Dataflow makeLayeredDataflow(std::size_t layers, std::size_t width,
     for (std::size_t i = 0; i < w; ++i) {
       std::vector<Alternate> alts;
       for (std::size_t j = 0; j < alternates_per_pe; ++j) {
-        alts.push_back({"l" + std::to_string(l) + "p" + std::to_string(i) +
-                            "a" + std::to_string(j),
+        alts.push_back({alternateName({{'l', l}, {'p', i}, {'a', j}}),
                         rng.uniform(0.4, 1.0), rng.uniform(0.05, 0.4),
                         rng.uniform(0.5, 1.5)});
       }

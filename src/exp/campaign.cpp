@@ -114,7 +114,7 @@ void Campaign::addPolicySweep(const Dataflow& dataflow,
                               const ExperimentConfig& base,
                               const std::vector<SchedulerKind>& kinds) {
   for (const SchedulerKind kind : kinds) {
-    add({&dataflow, base, kind, "", ""});
+    add({&dataflow, base, kind, "", "", ""});
   }
 }
 
@@ -125,7 +125,7 @@ void Campaign::addSeedSweep(const Dataflow& dataflow,
   for (std::size_t i = 0; i < runs; ++i) {
     ExperimentConfig cfg = base;
     cfg.seed = base.seed + i;
-    add({&dataflow, cfg, kind, "", ""});
+    add({&dataflow, cfg, kind, "", "", ""});
   }
 }
 
@@ -147,7 +147,7 @@ void Campaign::setTracePaths(const std::string& base) {
         entry.label.empty() ? schedulerName(entry.kind) : entry.label;
     entry.trace_path = base + "." + label;
     if (label_uses[label] > 1) {
-      entry.trace_path += "." + std::to_string(i);
+      entry.trace_path.append(".").append(std::to_string(i));
     }
   }
 }

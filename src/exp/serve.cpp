@@ -1,8 +1,11 @@
 #include "dds/exp/serve.hpp"
 
+#include <condition_variable>
 #include <deque>
-#include <future>
+#include <exception>
 #include <istream>
+#include <mutex>
+#include <optional>
 #include <ostream>
 #include <utility>
 
@@ -16,20 +19,97 @@ bool blankLine(const std::string& line) {
   return line.find_first_not_of(" \t\r") == std::string::npos;
 }
 
-/// One window slot: either a running job or an already-known rejection.
-/// Rejections occupy a slot too, which is what keeps emission in line
-/// order without any reordering logic.
-struct Pending {
-  std::size_t index = 0;
-  std::future<JobOutcome> future;
-  bool rejected = false;
-  std::string error;
-};
-
 void emitRecord(std::ostream& out, const std::string& record) {
   out << record << '\n';
   out.flush();
 }
+
+/// The parallel path's shared state: one slot per admitted line, in line
+/// order, the front being the oldest record not yet written. Rejections
+/// occupy a slot too, which is what keeps emission in line order without
+/// any reordering logic. One mutex guards the slots, the FIFO of jobs not
+/// yet started, the counters and the output stream.
+class ServeWindow {
+ public:
+  ServeWindow(std::ostream& out, std::size_t capacity)
+      : out_(out), capacity_(capacity) {}
+
+  /// Reader side: block while the window is full, then take line `index`
+  /// as a job to run or, without one, as the finished `rejection` record.
+  /// False once a task has failed; nothing is admitted then.
+  bool admit(std::size_t index, std::optional<ExperimentJob> job,
+             std::string rejection) {
+    std::unique_lock lock(mutex_);
+    room_.wait(lock, [&] { return slots_.size() < capacity_ || error_; });
+    if (error_) return false;
+    if (job) {
+      slots_.emplace_back();
+      queued_.emplace_back(index, std::move(*job));
+    } else {
+      ++stats_.rejected;
+      slots_.emplace_back(std::move(rejection));
+      emitReady();
+    }
+    return true;
+  }
+
+  /// Pool task: start the oldest queued job (so jobs start in line order
+  /// whichever deque the pool took this task from), run it, and write
+  /// every finished record from the front onward. An exception is kept
+  /// for finish(), not left in the task's discarded future.
+  void runOldest(Substrate* sub) {
+    try {
+      std::pair<std::size_t, ExperimentJob> next;
+      {
+        const std::scoped_lock lock(mutex_);
+        if (error_) return;
+        next = std::move(queued_.front());
+        queued_.pop_front();
+      }
+      const auto& [index, job] = next;
+      const JobOutcome outcome = runExperimentJob(job, index, sub);
+      std::string record = jobRecordJson(outcome, index);
+      const std::scoped_lock lock(mutex_);
+      outcome.ok ? ++stats_.ok : ++stats_.failed;
+      slots_[index - front_index_] = std::move(record);
+      emitReady();
+    } catch (...) {
+      const std::scoped_lock lock(mutex_);
+      if (!error_) error_ = std::current_exception();
+      room_.notify_one();
+    }
+  }
+
+  /// After the pool has drained: the counters, or the first task failure.
+  ServeStats finish(std::size_t specs) {
+    if (error_) std::rethrow_exception(error_);
+    stats_.specs = specs;
+    return stats_;
+  }
+
+ private:
+  /// Writes the finished records at the front; caller holds mutex_.
+  void emitReady() {
+    bool freed = false;
+    while (!slots_.empty() && slots_.front()) {
+      emitRecord(out_, *slots_.front());
+      slots_.pop_front();
+      ++front_index_;
+      freed = true;
+    }
+    if (freed) room_.notify_one();
+  }
+
+  std::ostream& out_;
+  const std::size_t capacity_;
+  std::mutex mutex_;
+  std::condition_variable room_;  ///< the reader waits here for a slot.
+  std::deque<std::optional<std::string>> slots_;  ///< record, once done.
+  std::size_t front_index_ = 0;  ///< line index of slots_.front().
+  std::deque<std::pair<std::size_t, ExperimentJob>> queued_;
+  ServeStats stats_;
+  std::exception_ptr error_;
+};
 
 }  // namespace
 
@@ -77,45 +157,35 @@ ServeStats serveCampaign(std::istream& in, std::ostream& out,
     return stats;
   }
 
-  ThreadPool pool(workers);
-  const std::size_t capacity = options.queue == 0 ? 2 * workers : options.queue;
-  std::deque<Pending> window;
-
-  auto drainFront = [&]() {
-    Pending front = std::move(window.front());
-    window.pop_front();
-    if (front.rejected) {
-      ++stats.rejected;
-      emitRecord(out, specErrorJson(front.index, front.error));
-      return;
+  // Declared before the pool, so the pool drains (its destructor runs
+  // every queued task) while the window its tasks reference still lives.
+  ServeWindow window(out,
+                     options.queue == 0 ? 2 * workers : options.queue);
+  {
+    ThreadPool pool(workers);
+    while (std::getline(in, line)) {
+      if (blankLine(line)) continue;
+      const std::size_t i = index++;
+      std::optional<ExperimentJob> job;
+      std::string rejection;
+      try {
+        job = jobFromSpec(parseJobSpec(line), *sub);
+      } catch (const ConfigError& e) {
+        rejection = specErrorJson(i, e.what());
+      }
+      const bool run = job.has_value();
+      // Bounded admission: a full window blocks the reader until the
+      // front record is written — input backpressure, O(queue) memory.
+      if (!window.admit(i, std::move(job), std::move(rejection))) break;
+      if (run) {
+        // The task reports through the window, never its future.
+        static_cast<void>(pool.submit([&window, sub] {
+          window.runOldest(sub);
+        }));
+      }
     }
-    const JobOutcome outcome = front.future.get();
-    outcome.ok ? ++stats.ok : ++stats.failed;
-    emitRecord(out, jobRecordJson(outcome, front.index));
-  };
-
-  while (std::getline(in, line)) {
-    if (blankLine(line)) continue;
-    const std::size_t i = index++;
-    ++stats.specs;
-    // Bounded admission: a full window blocks the reader on the oldest
-    // job — input backpressure, ordered streaming output.
-    while (window.size() >= capacity) drainFront();
-    Pending pending;
-    pending.index = i;
-    try {
-      ExperimentJob job = jobFromSpec(parseJobSpec(line), *sub);
-      pending.future = pool.submit([job = std::move(job), i, sub]() {
-        return runExperimentJob(job, i, sub);
-      });
-    } catch (const ConfigError& e) {
-      pending.rejected = true;
-      pending.error = e.what();
-    }
-    window.push_back(std::move(pending));
   }
-  while (!window.empty()) drainFront();
-  return stats;
+  return window.finish(index);
 }
 
 }  // namespace dds

@@ -29,12 +29,11 @@ double freeCorePower(const CloudProvider& cloud, const CorePowerFn& power) {
 
 HeuristicScheduler::HeuristicScheduler(SchedulerEnv env, Strategy strategy,
                                        HeuristicOptions options)
-    : env_(env),
+    : env_(env.validated()),
       strategy_(strategy),
       options_(options),
-      allocator_(*env.dataflow, *env.cloud, env.omega_target,
+      allocator_(*env_.dataflow, *env_.cloud, env_.omega_target,
                  options.acquisition) {
-  env_.validate();
   DDS_REQUIRE(options_.alternate_period >= 1,
               "alternate period must be at least one interval");
   DDS_REQUIRE(options_.resource_period >= 1,

@@ -55,13 +55,13 @@ void expectIdentical(const JobOutcome& a, const JobOutcome& b) {
 TEST(Campaign, AddValidatesJobs) {
   Campaign campaign;
   EXPECT_THROW(campaign.add({nullptr, shortConfig(),
-                             SchedulerKind::GlobalAdaptive, "", ""}),
+                             SchedulerKind::GlobalAdaptive, "", "", ""}),
                PreconditionError);
   ExperimentConfig bad = shortConfig();
   bad.horizon_s = -1.0;
   const Dataflow df = makePaperDataflow();
   EXPECT_THROW(
-      campaign.add({&df, bad, SchedulerKind::GlobalAdaptive, "", ""}),
+      campaign.add({&df, bad, SchedulerKind::GlobalAdaptive, "", "", ""}),
       PreconditionError);
   EXPECT_TRUE(campaign.empty());
 }
@@ -162,7 +162,7 @@ TEST(Campaign, InterningDoesNotChangeCampaignJson) {
   for (std::size_t i = 0; i < 4; ++i) {
     ExperimentConfig cfg = shortConfig();
     cfg.seed = 101 + i;
-    copies.add({&df, cfg, SchedulerKind::GlobalAdaptive, "", ""});
+    copies.add({&df, cfg, SchedulerKind::GlobalAdaptive, "", "", ""});
   }
   Campaign deltas;
   ExperimentConfig base = shortConfig();
@@ -187,7 +187,7 @@ TEST(Campaign, TimingFreeJsonStripsThroughputGauges) {
   const Dataflow df = makePaperDataflow();
   Campaign campaign;
   ExperimentConfig cfg = shortConfig();
-  campaign.add({&df, cfg, SchedulerKind::GlobalAdaptive, "", ""});
+  campaign.add({&df, cfg, SchedulerKind::GlobalAdaptive, "", "", ""});
   const CampaignResult result = runCampaign(campaign, {.jobs = 1});
   result.throwIfAnyFailed();
 

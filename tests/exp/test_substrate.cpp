@@ -142,7 +142,7 @@ TEST(Substrate, ConcurrentJobsDoNotPerturbSiblings) {
     jobs.push_back({&df, cfg,
                     seed % 2 == 0 ? SchedulerKind::GlobalAdaptive
                                   : SchedulerKind::LocalAdaptive,
-                    "", ""});
+                    "", "", ""});
   }
 
   std::vector<JobOutcome> isolated;

@@ -233,7 +233,7 @@ TEST(ElasticityCampaign, JobsKnobDoesNotPerturbResults) {
   for (const SchedulerKind kind :
        {SchedulerKind::GlobalAdaptive, SchedulerKind::LocalAdaptive,
         SchedulerKind::ReactiveBaseline}) {
-    campaign.add({&df, cfg, kind, "", ""});
+    campaign.add({&df, cfg, kind, "", "", ""});
   }
   const auto serial = runCampaign(campaign, {.jobs = 1});
   const auto parallel = runCampaign(campaign, {.jobs = 4});
